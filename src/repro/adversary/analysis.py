@@ -30,7 +30,7 @@ import ipaddress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache import cached_artifact, study_fingerprint
+from repro.cache import cached_artifact
 from repro.exposure.analysis import effective_pinholes, headline_addr_kind
 from repro.exposure.wanscan import WanScanner
 from repro.faults.schedule import NO_FAULTS, get_fault
@@ -156,19 +156,20 @@ def run_home_susceptibility(spec: "AdversarySpec") -> HomeSusceptibility:
 
     profiles = profiles_by_name(spec.device_names)
     schedule = get_fault(spec.fault_name) if spec.fault_name != NO_FAULTS.name else None
-    fingerprint = study_fingerprint(
+    def compute() -> HomeSusceptibility:
+        measured = _measure_home(spec, config, profiles, schedule)
+        return dataclasses.replace(measured, home_id=-1)
+
+    summary = cached_artifact(
+        "adversary-susceptibility",
+        1,
+        compute,
         sim_seed=spec.sim_seed,
         config=config,
         profiles=profiles,
         fault_schedule=schedule,
         extra=("settle", spec.settle),
     )
-
-    def compute() -> HomeSusceptibility:
-        measured = _measure_home(spec, config, profiles, schedule)
-        return dataclasses.replace(measured, home_id=-1)
-
-    summary = cached_artifact(fingerprint, "adversary-susceptibility", 1, compute)
     return dataclasses.replace(summary, home_id=spec.home_id)
 
 

@@ -8,11 +8,12 @@ Two-phase architecture, chosen for the jobs-invariance contract:
    runner. Each worker runs the full packet-level measurement (autoconfigure,
    optional fault schedule, WAN probes through the firewall) and returns a
    flat :class:`~repro.adversary.analysis.HomeSusceptibility`.
-2. **Epidemic phase (serial).** :func:`aggregate_adversary` re-sorts the
-   results (the runner already guarantees ``sort_key`` order), then runs the
-   deterministic campaign/worm loop per firewall column. Because the loop is
-   pure arithmetic over sorted summaries with its own seeded stream, the
-   rendered output is byte-identical whatever ``--jobs`` was.
+2. **Epidemic phase (serial).** :class:`AdversaryFold` collects the
+   summaries per firewall column and, at ``finalize``, sorts each column by
+   home and runs the deterministic campaign/worm loop over it. Because the
+   loop is pure arithmetic over sorted summaries with its own seeded
+   stream, the rendered output is byte-identical whatever ``--jobs`` or
+   ``--shards`` was.
 
 Homes are drawn through the fleet generator's scenario machinery, so the
 *fleet mix* axis (dual-stack vs IPv6-only vs stateful rollouts) composes
@@ -31,11 +32,11 @@ from typing import Optional, Sequence
 from repro.adversary.analysis import HomeSusceptibility, run_home_susceptibility
 from repro.adversary.worm import InfectionTimeline, WormParams, run_worm
 from repro.faults.schedule import NO_FAULTS, get_fault
+from repro.fleet.aggregate import failure_line
 from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
 from repro.fleet.scenario import RolloutScenario, generate_fleet, generate_home, get_scenario
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, fold_results, run_sharded
 from repro.fleet.store import spec_token
-from repro.fleet.stream import failure_line
 from repro.stack.firewall import FIREWALL_MODES
 
 DEFAULT_SETTLE = 150.0  # sim-seconds of autoconfiguration before the probes
@@ -243,48 +244,6 @@ def _outcome_for(firewall: str, population: list[HomeSusceptibility], params: Wo
     )
 
 
-def aggregate_adversary(
-    fleet: FleetResult,
-    params: WormParams,
-    *,
-    seed: int,
-    scenario_name: str = "",
-) -> AdversaryAggregate:
-    """Phase 2: run one deterministic outbreak per firewall column.
-
-    ``seed`` drives the epidemic draws only (the susceptibility phase burned
-    its own per-home simulator seeds); the same (fleet, params, seed) triple
-    always yields the same timelines regardless of how the fleet was run.
-    """
-    by_firewall: dict[str, list[HomeSusceptibility]] = {}
-    failed: list[tuple[int, str, str]] = []
-    fault_name = NO_FAULTS.name
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            first_line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, spec.firewall, first_line))
-            continue
-        fault_name = result.summary.fault
-        by_firewall.setdefault(spec.firewall, []).append(result.summary)
-
-    per_firewall = tuple(
-        _outcome_for(firewall, population, params, seed)
-        for firewall, population in sorted(by_firewall.items(), key=lambda item: _firewall_order(item[0]))
-    )
-    return AdversaryAggregate(
-        scenario_name=scenario_name,
-        fault_name=fault_name,
-        params=params,
-        seed=seed,
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        per_firewall=per_firewall,
-    )
-
-
-# --------------------------------------------------------- streaming fold
-
 
 @dataclass(frozen=True)
 class AdversaryFold(Fold):
@@ -350,6 +309,22 @@ class AdversaryFold(Fold):
         )
 
 
+def aggregate_adversary(
+    fleet: FleetResult,
+    params: WormParams,
+    *,
+    seed: int,
+    scenario_name: str = "",
+) -> AdversaryAggregate:
+    """Phase 2: run one deterministic outbreak per firewall column.
+
+    ``seed`` drives the epidemic draws only (the susceptibility phase burned
+    its own per-home simulator seeds); the same (fleet, params, seed) triple
+    always yields the same timelines regardless of how the fleet was run.
+    """
+    return fold_results(AdversaryFold(params=params, seed=seed, scenario_name=scenario_name), fleet.results)
+
+
 def _adversary_unit(
     index: int,
     *,
@@ -395,9 +370,10 @@ def run_adversary_stream(
 ) -> AdversaryAggregate:
     """Sharded streaming equivalent of generate + run + aggregate.
 
-    Byte-identical to the retained path at any shard count. ``seed`` plays
-    the same double role as in the CLI: it draws the home population and
-    seeds the epidemic phase.
+    Byte-identical to :func:`aggregate_adversary` over
+    :func:`run_adversary_fleet` at any shard count. ``seed`` plays the same
+    double role as in the CLI: it draws the home population and seeds the
+    epidemic phase.
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")

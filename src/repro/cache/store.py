@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from repro.cache.fingerprint import code_epoch
+from repro.cache.fingerprint import code_epoch, study_fingerprint
 
 MANIFEST_NAME = "manifest.json"
 STATS_NAME = "stats.log"
@@ -263,12 +263,17 @@ def activated(settings: CacheSettings) -> Iterator[StudyCache]:
         _active = previous
 
 
-def cached_artifact(fingerprint: str, extractor: str, version: int, compute: Callable[[], object]):
-    """Workers' lookup hook: memoize through the ambient cache, if any."""
+def cached_artifact(extractor: str, version: int, compute: Callable[[], object], **closure):
+    """Workers' lookup hook: memoize through the ambient cache, if any.
+
+    ``closure`` is the :func:`~repro.cache.fingerprint.study_fingerprint`
+    input; it is hashed only when a cache is active, so uncached runs pay
+    nothing for it.
+    """
     cache = active_cache()
     if cache is None:
         return compute()
-    return cache.get_or_run(fingerprint, extractor, version, compute)
+    return cache.get_or_run(study_fingerprint(**closure), extractor, version, compute)
 
 
 def process_counters() -> dict:

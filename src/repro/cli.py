@@ -31,7 +31,15 @@ advances steady-state data flows as aggregate records (DESIGN.md §13) and
 produces byte-identical analysis output several times faster; ``pcap``
 exports then contain control-plane frames only.
 
-Fleet-style commands exit 2 when no work was generated (e.g. ``--homes 0``)
+The five population commands (``fleet``, ``exposure``, ``faults``,
+``lifecycle``, ``adversary``) share one driver, :func:`_run_population`.
+Each describes itself once — banner, progress label, its two engine entry
+points, its fold and its renderer — and runs on the ``--jobs`` process pool
+or, with ``--shards``/``--journal``, on long-lived shards (DESIGN.md §14).
+Both engines end in the subsystem's one fold, so the report, the exit code
+and the failure block on stderr are the same whichever ran.
+
+Population commands exit 2 when no work was generated (e.g. ``--homes 0``)
 or the arguments are invalid (negative seed, duplicate spec names, unknown
 scenario/preset), and 1 when any home worker failed, after printing
 whatever completed.
@@ -40,8 +48,10 @@ whatever completed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
+from typing import Callable, NamedTuple
 
 TABLE_CHOICES = ["2", "3", "4", "5", "6", "7", "8", "9", "10", "12", "13"]
 FIGURE_CHOICES = ["2", "3", "4", "5"]
@@ -65,11 +75,11 @@ def _add_fidelity(subparser: argparse.ArgumentParser) -> None:
 
 
 def _add_sharding(subparser: argparse.ArgumentParser) -> None:
-    """Sharded streaming flags, shared by every fleet-style command.
+    """Sharded streaming flags, shared by every population command.
 
-    Any of them switches the command onto the O(shards)-memory streaming
-    path (DESIGN.md §14); output stays byte-identical to the retained path
-    at any shard count.
+    ``--shards`` or ``--journal`` switches the command onto the
+    O(shards)-memory sharded engine (DESIGN.md §14); output stays
+    byte-identical to the ``--jobs`` engine at any shard count.
     """
     subparser.add_argument(
         "--shards",
@@ -101,31 +111,11 @@ def _add_cache(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cache_settings(args):
-    """Build the optional CacheSettings without importing eagerly."""
-    if args.cache is None:
-        return None
-    from repro.cache import CacheSettings
-
-    return CacheSettings(directory=args.cache)
-
-
-def _cache_before(cache):
-    """Snapshot the store's event log so the run's delta can be reported."""
-    if cache is None:
-        return None
-    from repro.cache import read_disk_stats
-
-    return read_disk_stats(cache.directory)
-
-
-def _report_cache(cache, before) -> None:
+def _report_cache(directory: str, before: dict) -> None:
     """Print this run's cache hit/miss delta to stderr (stdout untouched)."""
-    if cache is None:
-        return
     from repro.cache import read_disk_stats
 
-    after = read_disk_stats(cache.directory)
+    after = read_disk_stats(directory)
     delta = {event: after[event] - before.get(event, 0) for event in after}
     hits = delta.get("hit-memory", 0) + delta.get("hit-disk", 0)
     print(
@@ -354,46 +344,95 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _no_work(what: str) -> int:
-    """Uniform handling for fleet commands that generated nothing to run."""
-    print(f"error: nothing to run — {what}", file=sys.stderr)
-    return 2
-
-
-def _fleet_exit(fleet) -> int:
-    """Exit code for a completed fleet: 0 clean, 1 when any worker failed."""
-    failures = fleet.failures
-    if not failures:
-        return 0
-    print(f"error: {len(failures)}/{len(fleet.results)} home run(s) failed:", file=sys.stderr)
-    for result in failures:
-        last_line = (result.error or "unknown error").strip().splitlines()[-1]
-        print(f"  home {getattr(result.spec, 'home_id', '?')}: {last_line}", file=sys.stderr)
-    return 1
-
-
-def _use_stream(args) -> bool:
-    return args.shards is not None or args.journal is not None
-
-
-def _shard_progress(done: int, total: int, shard: int, units: int) -> None:
-    print(f"  shard {shard} [{done}/{total}] done ({units} home(s))", file=sys.stderr)
-
-
-def _stream_exit(failed, total: int) -> int:
-    """Exit code for a streamed aggregate: 0 clean, 1 when any run failed.
+def _population_exit(aggregate) -> int:
+    """Exit code for a population aggregate: 0 clean, 1 when any run failed.
 
     ``failed`` entries are tuples whose first element is the home id and
     whose last is the error's final line (middle elements, when present,
     name the firewall / config / epoch cell — already part of the line the
     report renders, so only the ends are printed here).
     """
+    failed = aggregate.failed
     if not failed:
         return 0
-    print(f"error: {len(failed)}/{total} home run(s) failed:", file=sys.stderr)
+    print(f"error: {len(failed)}/{aggregate.total_runs} home run(s) failed:", file=sys.stderr)
     for entry in failed:
         print(f"  home {entry[0]}: {entry[-1]}", file=sys.stderr)
     return 1
+
+
+class _Population(NamedTuple):
+    """How one population subcommand runs on either engine.
+
+    ``banner`` is the stderr banner up to (not including) its engine field;
+    ``cell`` labels a spec in the per-home progress line. ``stream`` runs
+    the sharded engine and returns the aggregate; ``specs`` + ``run`` run
+    the pool engine, whose results ``fold`` aggregates into the same value.
+    """
+
+    banner: str
+    empty: str
+    cell: Callable[[object], str]
+    stream: Callable[..., object]
+    specs: Callable[[], list]
+    run: Callable[..., object]
+    fold: object
+    render: Callable[[object], str]
+
+
+def _run_population(args, population: _Population) -> int:
+    """Run a population subcommand on the engine its flags select.
+
+    ``--shards``/``--journal`` pick the sharded engine, anything else the
+    ``--jobs`` pool; both end in the same aggregate, report and exit code.
+    """
+    from repro.fleet.shard import fold_results
+
+    if args.homes == 0:
+        print(f"error: nothing to run — {population.empty}", file=sys.stderr)
+        return 2
+    sharded = args.shards is not None or args.journal is not None
+    engine = f"shards={args.shards or 1}" if sharded else f"jobs={args.jobs}"
+    print(f"{population.banner}, {engine}) ...", file=sys.stderr)
+
+    def progress(done, total, result):
+        status = "ok" if result.ok else "FAILED"
+        cell = population.cell(result.spec)
+        print(f"  home {result.spec.home_id:4d} {cell}[{done}/{total}] {status}", file=sys.stderr)
+
+    def shard_progress(done, total, shard, units):
+        print(f"  shard {shard} [{done}/{total}] done ({units} home(s))", file=sys.stderr)
+
+    cache = before = None
+    if args.cache is not None:
+        from repro.cache import CacheSettings, read_disk_stats
+
+        cache = CacheSettings(directory=args.cache)
+        before = read_disk_stats(args.cache)
+    start = time.time()
+    try:
+        if sharded:
+            aggregate = population.stream(
+                shards=args.shards or 1,
+                timeout=args.timeout,
+                journal_dir=args.journal,
+                checkpoint_every=args.checkpoint_every,
+                progress=shard_progress,
+                cache=cache,
+            )
+        else:
+            fleet = population.run(
+                population.specs(), jobs=args.jobs, timeout=args.timeout, progress=progress, cache=cache
+            )
+            aggregate = fold_results(population.fold, fleet.results)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
+    if cache is not None:
+        _report_cache(args.cache, before)
+    print(population.render(aggregate))
+    return _population_exit(aggregate)
 
 
 def _run_study(seed: int, with_scan: bool = True, fidelity: str = "packet"):
@@ -461,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "fleet":
-        from repro.fleet import aggregate_fleet, generate_fleet, get_scenario, run_fleet
+        from repro.fleet import FleetFold, generate_fleet, get_scenario, run_fleet, run_fleet_stream
         from repro.reports import render_fleet_summary
 
         try:
@@ -469,138 +508,46 @@ def main(argv: list[str] | None = None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.fleet.stream import run_fleet_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty fleet")
-            shards = args.shards or 1
-            print(
-                f"simulating {args.homes} homes (scenario={scenario.name}, "
-                f"seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_fleet_stream(
-                    args.homes,
-                    seed=args.seed,
-                    scenario=scenario,
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except ValueError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_fleet_summary(aggregate))
-            return _stream_exit(aggregate.failed_homes, aggregate.total_homes)
-
-        specs = generate_fleet(args.homes, seed=args.seed, scenario=scenario, fidelity=args.fidelity)
-        if not specs:
-            return _no_work("--homes 0 generates an empty fleet")
-        print(
-            f"simulating {len(specs)} homes (scenario={scenario.name}, "
-            f"seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
+        setup = dict(seed=args.seed, scenario=scenario, fidelity=args.fidelity)
+        return _run_population(
+            args,
+            _Population(
+                banner=f"simulating {args.homes} homes (scenario={scenario.name}, seed={args.seed}",
+                empty="--homes 0 generates an empty fleet",
+                cell=lambda spec: "",
+                stream=functools.partial(run_fleet_stream, args.homes, **setup),
+                specs=functools.partial(generate_fleet, args.homes, **setup),
+                run=run_fleet,
+                fold=FleetFold(),
+                render=render_fleet_summary,
+            ),
         )
 
-        def progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(f"  home {result.spec.home_id:4d} [{done}/{total}] {status}", file=sys.stderr)
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_fleet(specs, jobs=args.jobs, timeout=args.timeout, progress=progress, cache=cache)
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_fleet_summary(aggregate_fleet(fleet)))
-        return _fleet_exit(fleet)
-
     if args.command == "exposure":
-        from repro.exposure import aggregate_exposure, generate_exposure_specs, run_exposure_fleet
+        from repro.exposure import generate_exposure_specs, run_exposure_fleet
+        from repro.exposure.population import ExposureFold, run_exposure_stream
         from repro.reports import render_exposure
 
         code = _reject_duplicates("firewall mode(s)", args.firewall)
         if code is not None:
             return code
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.exposure.population import run_exposure_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty scan fleet")
-            shards = args.shards or 1
-            print(
-                f"WAN-scanning {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-                f"(config={args.config}, seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_exposure_stream(
-                    args.homes,
-                    seed=args.seed,
-                    config_name=args.config,
-                    firewalls=tuple(args.firewall),
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except ValueError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_exposure(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        specs = generate_exposure_specs(
-            args.homes,
-            seed=args.seed,
-            config_name=args.config,
-            firewalls=tuple(args.firewall),
-            fidelity=args.fidelity,
+        setup = dict(seed=args.seed, config_name=args.config, firewalls=tuple(args.firewall), fidelity=args.fidelity)
+        return _run_population(
+            args,
+            _Population(
+                banner=(
+                    f"WAN-scanning {args.homes} homes x {len(args.firewall)} firewall mode(s) "
+                    f"(config={args.config}, seed={args.seed}"
+                ),
+                empty="--homes 0 generates an empty scan fleet",
+                cell=lambda spec: f"[{spec.firewall}] ",
+                stream=functools.partial(run_exposure_stream, args.homes, **setup),
+                specs=functools.partial(generate_exposure_specs, args.homes, **setup),
+                run=run_exposure_fleet,
+                fold=ExposureFold(),
+                render=render_exposure,
+            ),
         )
-        if not specs:
-            return _no_work("--homes 0 generates an empty scan fleet")
-        print(
-            f"WAN-scanning {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-            f"(config={args.config}, seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
-        )
-
-        def scan_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [{result.spec.firewall}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_exposure_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=scan_progress, cache=cache
-        )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_exposure(aggregate_exposure(fleet)))
-        return _fleet_exit(fleet)
 
     if args.command == "faults":
         if args.list_presets:
@@ -610,85 +557,36 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return 0
 
-        from repro.faults import aggregate_faults, generate_fault_specs, run_fault_fleet
+        from repro.faults import generate_fault_specs, run_fault_fleet
+        from repro.faults.population import FaultFold, run_faults_stream
         from repro.reports import render_faults
 
         for what, values in (("config(s)", args.configs), ("fault preset(s)", args.faults)):
             code = _reject_duplicates(what, values)
             if code is not None:
                 return code
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.faults.population import run_faults_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty fault fleet")
-            shards = args.shards or 1
-            print(
-                f"injecting {len(args.faults)} fault(s) into {args.homes} homes x "
-                f"{len(args.configs)} config(s) (seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_faults_stream(
-                    args.homes,
-                    seed=args.seed,
-                    config_names=tuple(args.configs),
-                    fault_names=tuple(args.faults),
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_faults(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        try:
-            specs = generate_fault_specs(
-                args.homes,
-                seed=args.seed,
-                config_names=tuple(args.configs),
-                fault_names=tuple(args.faults),
-                fidelity=args.fidelity,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if not specs:
-            return _no_work("--homes 0 generates an empty fault fleet")
-        print(
-            f"injecting {len(args.faults)} fault(s) into {args.homes} homes x "
-            f"{len(args.configs)} config(s) (seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
+        setup = dict(
+            seed=args.seed,
+            config_names=tuple(args.configs),
+            fault_names=tuple(args.faults),
+            fidelity=args.fidelity,
         )
-
-        def fault_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [{result.spec.config_name}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_fault_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=fault_progress, cache=cache
+        return _run_population(
+            args,
+            _Population(
+                banner=(
+                    f"injecting {len(args.faults)} fault(s) into {args.homes} homes x "
+                    f"{len(args.configs)} config(s) (seed={args.seed}"
+                ),
+                empty="--homes 0 generates an empty fault fleet",
+                cell=lambda spec: f"[{spec.config_name}] ",
+                stream=functools.partial(run_faults_stream, args.homes, **setup),
+                specs=functools.partial(generate_fault_specs, args.homes, **setup),
+                run=run_fault_fleet,
+                fold=FaultFold(),
+                render=render_faults,
+            ),
         )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_faults(aggregate_faults(fleet)))
-        return _fleet_exit(fleet)
 
     if args.command == "lifecycle":
         if args.list_waves:
@@ -698,13 +596,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(name)
             return 0
 
-        from repro.lifecycle import (
-            LifecycleParams,
-            aggregate_lifecycle,
-            build_timelines,
-            run_lifecycle_fleet,
-            timeline_specs,
-        )
+        from repro.lifecycle import LifecycleParams, build_timelines, run_lifecycle_fleet, timeline_specs
+        from repro.lifecycle.population import LifecycleFold, run_lifecycle_stream
         from repro.reports import render_lifecycle
 
         try:
@@ -722,79 +615,26 @@ def main(argv: list[str] | None = None) -> int:
         except (KeyError, ValueError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.lifecycle.population import run_lifecycle_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty timeline")
-            shards = args.shards or 1
-            print(
-                f"advancing {args.homes} homes through {args.epochs} epochs "
-                f"(wave={args.wave}, fault={args.fault}, seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_lifecycle_stream(
-                    args.homes,
-                    seed=args.seed,
-                    params=params,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_lifecycle(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        try:
-            timelines = build_timelines(args.homes, seed=args.seed, params=params)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        specs = timeline_specs(timelines)
-        if not specs:
-            return _no_work("--homes 0 generates an empty timeline")
-        print(
-            f"advancing {args.homes} homes through {args.epochs} epochs "
-            f"(wave={args.wave}, fault={args.fault}, seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
+        return _run_population(
+            args,
+            _Population(
+                banner=(
+                    f"advancing {args.homes} homes through {args.epochs} epochs "
+                    f"(wave={args.wave}, fault={args.fault}, seed={args.seed}"
+                ),
+                empty="--homes 0 generates an empty timeline",
+                cell=lambda spec: f"[epoch {spec.epoch}] ",
+                stream=functools.partial(run_lifecycle_stream, args.homes, seed=args.seed, params=params),
+                specs=lambda: timeline_specs(build_timelines(args.homes, seed=args.seed, params=params)),
+                run=run_lifecycle_fleet,
+                fold=LifecycleFold(wave_name=args.wave),
+                render=render_lifecycle,
+            ),
         )
-
-        def epoch_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [epoch {result.spec.epoch}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_lifecycle_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=epoch_progress, cache=cache
-        )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_lifecycle(aggregate_lifecycle(fleet, wave_name=args.wave)))
-        return _fleet_exit(fleet)
 
     if args.command == "adversary":
-        from repro.adversary import (
-            WormParams,
-            aggregate_adversary,
-            generate_adversary_specs,
-            run_adversary_fleet,
-        )
+        from repro.adversary import WormParams, generate_adversary_specs, run_adversary_fleet
+        from repro.adversary.population import AdversaryFold, run_adversary_stream
         from repro.fleet import get_scenario
         from repro.reports import render_adversary
 
@@ -815,83 +655,30 @@ def main(argv: list[str] | None = None) -> int:
         except (KeyError, ValueError) as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.adversary.population import run_adversary_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty target population")
-            shards = args.shards or 1
-            print(
-                f"attacking {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-                f"(strategy={args.strategy}, scenario={scenario.name}, fault={args.fault}, "
-                f"seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_adversary_stream(
-                    args.homes,
-                    seed=args.seed,
-                    params=params,
-                    scenario=scenario,
-                    firewalls=tuple(args.firewall),
-                    fault_name=args.fault,
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_adversary(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        try:
-            specs = generate_adversary_specs(
-                args.homes,
-                seed=args.seed,
-                scenario=scenario,
-                firewalls=tuple(args.firewall),
-                fault_name=args.fault,
-                fidelity=args.fidelity,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if not specs:
-            return _no_work("--homes 0 generates an empty target population")
-        print(
-            f"attacking {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-            f"(strategy={args.strategy}, scenario={scenario.name}, fault={args.fault}, "
-            f"seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
+        setup = dict(
+            seed=args.seed,
+            scenario=scenario,
+            firewalls=tuple(args.firewall),
+            fault_name=args.fault,
+            fidelity=args.fidelity,
         )
-
-        def adversary_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [{result.spec.firewall}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_adversary_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=adversary_progress, cache=cache
+        return _run_population(
+            args,
+            _Population(
+                banner=(
+                    f"attacking {args.homes} homes x {len(args.firewall)} firewall mode(s) "
+                    f"(strategy={args.strategy}, scenario={scenario.name}, fault={args.fault}, "
+                    f"seed={args.seed}"
+                ),
+                empty="--homes 0 generates an empty target population",
+                cell=lambda spec: f"[{spec.firewall}] ",
+                stream=functools.partial(run_adversary_stream, args.homes, params=params, **setup),
+                specs=functools.partial(generate_adversary_specs, args.homes, **setup),
+                run=run_adversary_fleet,
+                fold=AdversaryFold(params=params, seed=args.seed, scenario_name=scenario.name),
+                render=render_adversary,
+            ),
         )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_adversary(aggregate_adversary(fleet, params, seed=args.seed, scenario_name=scenario.name)))
-        return _fleet_exit(fleet)
 
     if args.command == "pcap":
         study, _ = _run_study(args.seed, with_scan=False, fidelity=args.fidelity)

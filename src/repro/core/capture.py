@@ -439,12 +439,6 @@ class CaptureIndex:
     def devices_with_address(self) -> set[str]:
         return {device for device, table in self.addresses.items() if table}
 
-    def device_addresses(self, device: str) -> list[AddressRecordObs]:
-        return list(self.addresses.get(device, {}).values())
-
-    def data_flows(self, device: Optional[str] = None) -> list[Flow]:
-        return [f for f in self.flows if f.is_data and (device is None or f.device == device)]
-
     def internet_data_devices(self, family: int) -> set[str]:
         return {f.device for f in self.flows if f.is_data and not f.is_local and f.family == family}
 

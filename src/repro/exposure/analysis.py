@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.cache import cached_artifact, study_fingerprint
+from repro.cache import cached_artifact
 from repro.devices.profile import Category, DeviceProfile
 from repro.exposure.wanscan import WanScanner, WanScanResult
 from repro.stack.config import with_fidelity, with_firewall
@@ -152,18 +152,19 @@ def run_home_exposure(spec: "ExposureSpec") -> HomeExposure:
         raise ValueError(f"config {config.name!r} has no IPv6; nothing to expose")
 
     profiles = profiles_by_name(spec.device_names)
-    fingerprint = study_fingerprint(
+    def compute() -> HomeExposure:
+        scan = _scan_home(spec, config, profiles)
+        return dataclasses.replace(summarize_exposure(scan, spec), home_id=-1)
+
+    exposure = cached_artifact(
+        "exposure-scan",
+        1,
+        compute,
         sim_seed=spec.sim_seed,
         config=config,
         profiles=profiles,
         extra=("settle", spec.settle),
     )
-
-    def compute() -> HomeExposure:
-        scan = _scan_home(spec, config, profiles)
-        return dataclasses.replace(summarize_exposure(scan, spec), home_id=-1)
-
-    exposure = cached_artifact(fingerprint, "exposure-scan", 1, compute)
     return dataclasses.replace(exposure, home_id=spec.home_id)
 
 

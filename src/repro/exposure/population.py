@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
-from repro.exposure.analysis import HomeExposure, run_home_exposure
+from repro.exposure.analysis import run_home_exposure
+from repro.fleet.aggregate import failure_line
 from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
 from repro.fleet.scenario import RolloutScenario, generate_fleet, generate_home
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, fold_results, run_sharded
 from repro.fleet.store import spec_token
-from repro.fleet.stream import failure_line
 from repro.stack.firewall import FIREWALL_MODES
 from repro.testbed.study import resolve_config
 
@@ -174,63 +174,6 @@ def _firewall_order(firewall: str) -> tuple:
         return (len(FIREWALL_MODES), firewall)
 
 
-def _stats_for(firewall: str, summaries: list[HomeExposure]) -> FirewallStats:
-    devices = [device for summary in summaries for device in summary.devices]
-    kinds = sorted({device.addr_kind for device in devices})
-    by_kind = tuple(
-        AddrKindStats(
-            kind=kind,
-            devices=sum(1 for d in devices if d.addr_kind == kind),
-            discoverable=sum(1 for d in devices if d.addr_kind == kind and d.discoverable),
-            reachable=sum(1 for d in devices if d.addr_kind == kind and d.reachable),
-        )
-        for kind in kinds
-    )
-    return FirewallStats(
-        firewall=firewall,
-        homes=len(summaries),
-        devices=len(devices),
-        discoverable_devices=sum(1 for d in devices if d.discoverable),
-        responsive_devices=sum(1 for d in devices if d.responsive),
-        reachable_devices=sum(1 for d in devices if d.reachable),
-        open_tcp_ports=sum(len(d.open_tcp) for d in devices),
-        open_udp_ports=sum(len(d.open_udp) for d in devices),
-        homes_with_discoverable=sum(1 for s in summaries if s.discoverable_devices),
-        homes_with_reachable=sum(1 for s in summaries if s.any_reachable),
-        wan_dropped=sum(s.wan_dropped for s in summaries),
-        by_addr_kind=by_kind,
-    )
-
-
-def aggregate_exposure(fleet: FleetResult) -> ExposureAggregate:
-    """Collapse per-(home, firewall) results into per-mode population stats."""
-    by_firewall: dict[str, list[HomeExposure]] = {}
-    failed: list[tuple[int, str, str]] = []
-    config_name = ""
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            first_line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, spec.firewall, first_line))
-            continue
-        summary = result.summary
-        config_name = summary.config_name
-        by_firewall.setdefault(spec.firewall, []).append(summary)
-
-    per_firewall = tuple(
-        _stats_for(firewall, summaries)
-        for firewall, summaries in sorted(by_firewall.items(), key=lambda item: _firewall_order(item[0]))
-    )
-    return ExposureAggregate(
-        config_name=config_name,
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        per_firewall=per_firewall,
-    )
-
-
-# --------------------------------------------------------- streaming fold
-
 # Positional counter slots of a per-firewall row (FirewallStats order);
 # the trailing dict maps addr kind -> [devices, discoverable, reachable].
 _FW_SLOTS = 10
@@ -240,8 +183,8 @@ _FW_SLOTS = 10
 class ExposureFold(Fold):
     """Fold one home's (home x firewall) scan grid into per-mode counters.
 
-    Exposure statistics are pure counters, so this fold is exactly the
-    retained aggregation, computed incrementally.
+    Exposure statistics are pure counters, so every slot merges by
+    addition.
     """
 
     def empty(self):
@@ -327,6 +270,11 @@ class ExposureFold(Fold):
         )
 
 
+def aggregate_exposure(fleet: FleetResult) -> ExposureAggregate:
+    """Collapse per-(home, firewall) results into per-mode population stats."""
+    return fold_results(ExposureFold(), fleet.results)
+
+
 def _exposure_unit(
     index: int,
     *,
@@ -369,8 +317,9 @@ def run_exposure_stream(
 ) -> ExposureAggregate:
     """Sharded streaming equivalent of generate + run + aggregate.
 
-    Byte-identical to the retained path at any shard count, in O(shards)
-    memory; each shard generates its homes lazily from the seed.
+    Byte-identical to :func:`aggregate_exposure` over
+    :func:`run_exposure_fleet` at any shard count, in O(shards) memory; each
+    shard generates its homes lazily from the seed.
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.cache import cached_artifact, study_fingerprint
+from repro.cache import cached_artifact
 from repro.faults.schedule import FaultSchedule, get_fault
 from repro.testbed.study import Study, resolve_home_inputs, run_home_study
 
@@ -172,10 +172,15 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
         # The captures are large; only the observations leave this frame.
         return observe_study(study, config.name)
 
-    clean_fp = study_fingerprint(
-        sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
+    baseline = cached_artifact(
+        "faults-baseline",
+        1,
+        compute_baseline,
+        sim_seed=spec.sim_seed,
+        config=config,
+        profiles=profiles,
+        checkins=spec.checkins,
     )
-    baseline = cached_artifact(clean_fp, "faults-baseline", 1, compute_baseline)
 
     grid = [(name, get_fault(name)) for name in spec.fault_names]
     grid.extend((schedule.name, schedule) for schedule in extra_schedules)
@@ -196,14 +201,16 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
             observed = observe_study(study, config.name, after=schedule.last_end)
             return observed, study.testbed.faults.counters.total
 
-        arm_fp = study_fingerprint(
+        observed, fault_events = cached_artifact(
+            "faults-arm",
+            1,
+            compute_arm,
             sim_seed=spec.sim_seed,
             config=config,
             profiles=profiles,
             checkins=spec.checkins,
             fault_schedule=schedule,
         )
-        observed, fault_events = cached_artifact(arm_fp, "faults-arm", 1, compute_arm)
         injected.append((fault_name, fault_events))
         for name in sorted(observed):
             outcome, ttr = classify_device(baseline[name], observed[name], schedule)

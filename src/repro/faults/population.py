@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
-from repro.faults.analysis import CellOutcome, HomeFaultSummary, OUTCOMES, run_home_faults
+from repro.faults.analysis import OUTCOMES, run_home_faults
 from repro.faults.schedule import get_fault
-from repro.fleet.aggregate import QuantileSketch
+from repro.fleet.aggregate import QuantileSketch, failure_line
 from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
 from repro.fleet.scenario import RolloutScenario, generate_fleet, generate_home
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, fold_results, run_sharded
 from repro.fleet.store import spec_token
-from repro.fleet.stream import failure_line
 from repro.testbed.study import resolve_config
 
 DEFAULT_FAULTS = ("dns-blackout", "uplink-flap")
@@ -131,20 +130,15 @@ class TtrStats:
     """Time-to-recover distribution over one population cell (seconds).
 
     The median comes from the mergeable
-    :class:`~repro.fleet.aggregate.QuantileSketch` on *both* the retained
-    and the sharded aggregation paths, so ``--jobs`` and ``--shards``
-    reports stay byte-identical (the sketch is within 1% relative error,
-    clamped to the exact min/max).
+    :class:`~repro.fleet.aggregate.QuantileSketch` (within 1% relative
+    error, clamped to the exact min/max), so any grouping of partial folds
+    renders the same bytes.
     """
 
     count: int = 0
     minimum: float = 0.0
     median: float = 0.0
     maximum: float = 0.0
-
-    @staticmethod
-    def of(samples: Sequence[float]) -> "TtrStats":
-        return TtrStats.from_sketch(QuantileSketch.of(samples))
 
     @staticmethod
     def from_sketch(sketch: QuantileSketch) -> "TtrStats":
@@ -206,62 +200,6 @@ class FaultAggregate:
         raise KeyError((config_name, fault))
 
 
-def _cell_stats(config_name: str, fault: str, summaries: list[HomeFaultSummary]) -> CellStats:
-    cells: list[CellOutcome] = [cell for summary in summaries for cell in summary.outcomes_for(fault)]
-    counts = {outcome: sum(1 for cell in cells if cell.outcome == outcome) for outcome in OUTCOMES}
-    samples = [cell.time_to_recover for cell in cells if cell.time_to_recover is not None]
-    return CellStats(
-        config_name=config_name,
-        fault=fault,
-        homes=len(summaries),
-        devices=len(cells),
-        unaffected=counts["unaffected"],
-        recovered=counts["recovered"],
-        degraded=counts["degraded"],
-        bricked=counts["bricked"],
-        dns_retries=sum(cell.dns_retries for cell in cells),
-        dns_timeouts=sum(cell.dns_timeouts for cell in cells),
-        flow_failures=sum(cell.flow_failures for cell in cells),
-        fallbacks=sum(cell.fallbacks for cell in cells),
-        ttr=TtrStats.of(samples),
-    )
-
-
-def aggregate_faults(fleet: FleetResult) -> FaultAggregate:
-    """Collapse per-(home, config) results into (config, fault) cell stats."""
-    by_config: dict[str, list[HomeFaultSummary]] = {}
-    failed: list[tuple[int, str, str]] = []
-    fault_names: list[str] = []
-    homes: set[int] = set()
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            first_line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, spec.config_name, first_line))
-            continue
-        summary = result.summary
-        homes.add(summary.home_id)
-        by_config.setdefault(summary.config_name, []).append(summary)
-        for fault_name, _count in summary.injected:
-            if fault_name not in fault_names:
-                fault_names.append(fault_name)
-
-    cells = tuple(
-        _cell_stats(config_name, fault, summaries)
-        for config_name, summaries in sorted(by_config.items())
-        for fault in fault_names
-    )
-    return FaultAggregate(
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        homes=len(homes),
-        fault_names=tuple(fault_names),
-        cells=cells,
-    )
-
-
-# --------------------------------------------------------- streaming fold
-
 # Positional counter slots of a (config, fault) cell row; the trailing slot
 # holds the TTR QuantileSketch.
 _CELL_SLOTS = 9
@@ -281,7 +219,7 @@ class FaultFold(Fold):
             "total": 0,
             "failed": [],  # (home_id, config, first error line)
             "homes": 0,
-            "fault_names": [],  # first-seen order, like the retained path
+            "fault_names": [],  # first-seen order
             "config_homes": {},  # config -> ok summaries
             "cells": {},  # (config, fault) -> counters + ttr sketch
         }
@@ -366,6 +304,11 @@ class FaultFold(Fold):
         )
 
 
+def aggregate_faults(fleet: FleetResult) -> FaultAggregate:
+    """Collapse per-(home, config) results into (config, fault) cell stats."""
+    return fold_results(FaultFold(), fleet.results)
+
+
 def _faults_unit(
     index: int,
     *,
@@ -408,8 +351,9 @@ def run_faults_stream(
 ) -> FaultAggregate:
     """Sharded streaming equivalent of generate + run + aggregate.
 
-    Byte-identical to the retained path at any shard count, in O(shards)
-    memory; each shard generates its homes lazily from the seed.
+    Byte-identical to :func:`aggregate_faults` over :func:`run_fault_fleet`
+    at any shard count, in O(shards) memory; each shard generates its homes
+    lazily from the seed.
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")

@@ -8,10 +8,10 @@ scale related work studies them.
 - :mod:`repro.fleet.scenario` — seeded home generation + rollout scenarios
 - :mod:`repro.fleet.runner` — parallel (multiprocessing) fleet executor
 - :mod:`repro.fleet.summary` — compact picklable per-home analytics
-- :mod:`repro.fleet.aggregate` — population-level statistics
+- :mod:`repro.fleet.aggregate` — population-level statistics (``FleetFold``)
 - :mod:`repro.fleet.shard` — sharded streaming execution (O(shards) memory)
 - :mod:`repro.fleet.store` — resumable on-disk shard journals
-- :mod:`repro.fleet.stream` — the fleet rollout fold for sharded runs
+- :mod:`repro.fleet.stream` — the fleet subcommand on the sharded engine
 """
 
 from repro.fleet.aggregate import ConfigStats, FleetAggregate, ShareDistribution, aggregate_fleet

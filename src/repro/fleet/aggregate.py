@@ -2,9 +2,10 @@
 
 This is where the fleet answers the question the single-lab paper cannot:
 *across a customer base, what does a given rollout do?* Every statistic is
-computed from :class:`HomeSummary` records only, with deterministic
-(sorted / insertion-ordered) iteration so that the same fleet always
-aggregates to the same bytes regardless of worker scheduling.
+folded from :class:`~repro.fleet.summary.HomeSummary` records by
+:class:`FleetFold`, whose exactly associative accumulators make the same
+fleet aggregate to the same bytes regardless of worker scheduling, engine
+or shard count.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from repro.fleet.runner import FleetResult
-from repro.fleet.summary import HomeSummary
+from repro.fleet.runner import FleetResult, HomeResult
+from repro.fleet.shard import Fold, fold_results
 from repro.stack.config import ALL_CONFIGS
 
 _CONFIG_ORDER = [config.name for config in ALL_CONFIGS]
@@ -244,6 +245,15 @@ class FleetAggregate:
     v6_share: Optional[ShareDistribution]       # across dual-stack homes
 
     @property
+    def failed(self) -> tuple[tuple[int, str], ...]:
+        """``failed_homes`` under the name every population aggregate uses."""
+        return self.failed_homes
+
+    @property
+    def total_runs(self) -> int:
+        return self.total_homes
+
+    @property
     def total_devices(self) -> int:
         return sum(stats.devices for stats in self.per_config)
 
@@ -267,26 +277,11 @@ class FleetAggregate:
         return exposed / self.total_devices if self.total_devices else 0.0
 
 
-def _config_stats(config_name: str, homes: list[HomeSummary]) -> ConfigStats:
-    return ConfigStats(
-        config_name=config_name,
-        homes=len(homes),
-        devices=sum(home.size for home in homes),
-        bricked_devices=sum(len(home.bricked) for home in homes),
-        homes_with_bricked=sum(1 for home in homes if home.has_bricked),
-        eui64_devices=sum(len(home.eui64_devices) for home in homes),
-        homes_with_eui64=sum(1 for home in homes if home.has_eui64),
-        data_v6_devices=sum(len(home.data_v6_devices) for home in homes),
-    )
-
-
 def share_distribution(stats: StreamStats, sketch: QuantileSketch) -> Optional[ShareDistribution]:
     """Render a share distribution from streaming accumulators.
 
-    Both the retained path (:func:`aggregate_fleet`) and the sharded fold
-    (:class:`repro.fleet.stream.FleetFold`) go through here, so the median
-    comes from the mergeable sketch in both — that is what keeps ``--jobs``
-    and ``--shards`` reports byte-identical.
+    The median comes from the mergeable sketch, so any grouping of partial
+    folds renders the same bytes.
     """
     if stats.count == 0:
         return None
@@ -299,33 +294,82 @@ def share_distribution(stats: StreamStats, sketch: QuantileSketch) -> Optional[S
     )
 
 
-def _share_distribution(homes: list[HomeSummary]) -> Optional[ShareDistribution]:
-    shares = [home.v6_share for home in homes if home.v6_share is not None]
-    return share_distribution(StreamStats.of(shares), QuantileSketch.of(shares))
+def failure_line(error: Optional[str]) -> str:
+    """The last line of a worker traceback — what the reports print."""
+    return (error or "unknown error").strip().splitlines()[-1]
+
+
+def config_sort_key(name: str):
+    """Table-2 config order first, then lexicographic for strangers."""
+    return (_CONFIG_ORDER.index(name) if name in _CONFIG_ORDER else len(_CONFIG_ORDER), name)
+
+
+@dataclass(frozen=True)
+class FleetFold(Fold):
+    """Fold one home's outcome into rollout statistics.
+
+    The accumulator is a plain dict of counters, a per-config counter table,
+    and the two share accumulators; every entry merges exactly
+    associatively.
+    """
+
+    def empty(self):
+        return {
+            "total": 0,
+            "completed": 0,
+            "failed": [],  # (home_id, first error line)
+            "configs": {},  # name -> 7 ConfigStats counters, positional
+            "share_stats": StreamStats(),
+            "share_sketch": QuantileSketch(),
+        }
+
+    def add(self, acc, outcomes: tuple[HomeResult, ...]):
+        for result in outcomes:
+            acc["total"] += 1
+            if not result.ok:
+                acc["failed"].append((result.spec.home_id, failure_line(result.error)))
+                continue
+            summary = result.summary
+            acc["completed"] += 1
+            row = acc["configs"].setdefault(summary.config_name, [0] * 7)
+            row[0] += 1
+            row[1] += summary.size
+            row[2] += len(summary.bricked)
+            row[3] += 1 if summary.has_bricked else 0
+            row[4] += len(summary.eui64_devices)
+            row[5] += 1 if summary.has_eui64 else 0
+            row[6] += len(summary.data_v6_devices)
+            if summary.v6_share is not None:
+                acc["share_stats"] = acc["share_stats"].add(summary.v6_share)
+                acc["share_sketch"] = acc["share_sketch"].add(summary.v6_share)
+        return acc
+
+    def merge(self, left, right):
+        left["total"] += right["total"]
+        left["completed"] += right["completed"]
+        left["failed"].extend(right["failed"])
+        for name, row in right["configs"].items():
+            mine = left["configs"].setdefault(name, [0] * 7)
+            for slot, value in enumerate(row):
+                mine[slot] += value
+        left["share_stats"] = left["share_stats"].merge(right["share_stats"])
+        left["share_sketch"] = left["share_sketch"].merge(right["share_sketch"])
+        return left
+
+    def finalize(self, acc) -> FleetAggregate:
+        per_config = tuple(
+            ConfigStats(name, *acc["configs"][name])
+            for name in sorted(acc["configs"], key=config_sort_key)
+        )
+        return FleetAggregate(
+            total_homes=acc["total"],
+            completed_homes=acc["completed"],
+            failed_homes=tuple(sorted(acc["failed"])),
+            per_config=per_config,
+            v6_share=share_distribution(acc["share_stats"], acc["share_sketch"]),
+        )
 
 
 def aggregate_fleet(fleet: FleetResult) -> FleetAggregate:
     """Fold ordered per-home results into population statistics."""
-    summaries = fleet.summaries
-    by_config: dict[str, list[HomeSummary]] = {}
-    for summary in summaries:
-        by_config.setdefault(summary.config_name, []).append(summary)
-
-    ordered = sorted(
-        by_config,
-        key=lambda name: (_CONFIG_ORDER.index(name) if name in _CONFIG_ORDER else len(_CONFIG_ORDER), name),
-    )
-    per_config = tuple(_config_stats(name, by_config[name]) for name in ordered)
-
-    failed = tuple(
-        (result.spec.home_id, (result.error or "unknown error").strip().splitlines()[-1])
-        for result in fleet.failures
-    )
-
-    return FleetAggregate(
-        total_homes=len(fleet.results),
-        completed_homes=len(summaries),
-        failed_homes=failed,
-        per_config=per_config,
-        v6_share=_share_distribution(summaries),
-    )
+    return fold_results(FleetFold(), fleet.results)

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from repro.cache import CacheSettings, CachingWorker, cached_artifact, study_fingerprint
+from repro.cache import CacheSettings, CachingWorker, cached_artifact
 from repro.fleet.scenario import HomeSpec
 from repro.fleet.summary import HomeSummary, summarize_home
 from repro.testbed.study import resolve_home_inputs, run_home_study
@@ -115,10 +115,9 @@ def simulate_home(spec: HomeSpec) -> HomeSummary:
         )
         return dataclasses.replace(summarize_home(study, spec), home_id=-1)
 
-    fingerprint = study_fingerprint(
-        sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
+    summary = cached_artifact(
+        "fleet-summary", 1, compute, sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
     )
-    summary = cached_artifact(fingerprint, "fleet-summary", 1, compute)
     return dataclasses.replace(summary, home_id=spec.home_id)
 
 

@@ -34,7 +34,7 @@ shard from its last checkpoint and skips the completed range.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.cache import CacheSettings, CachingWorker
 from repro.fleet.runner import HomeResult, WorkerFn, _execute_home, start_pool
@@ -75,6 +75,22 @@ class Fold:
 
     def finalize(self, acc):
         raise NotImplementedError
+
+
+def fold_results(fold: Fold, results: Iterable[HomeResult]):
+    """Fold retained results the way a shard folds its units.
+
+    Results are grouped by ``spec.home_id`` in first-appearance order, so a
+    home's cells reach ``add`` together even when they are not adjacent;
+    the pool engine's aggregate is therefore the sharded engine's.
+    """
+    homes: dict = {}
+    for result in results:
+        homes.setdefault(result.spec.home_id, []).append(result)
+    acc = fold.empty()
+    for outcomes in homes.values():
+        acc = fold.add(acc, tuple(outcomes))
+    return fold.finalize(acc)
 
 
 def shard_ranges(units: int, shards: int) -> list[tuple[int, int]]:
@@ -253,6 +269,7 @@ __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "Fold",
     "JournalStore",
+    "fold_results",
     "run_sharded",
     "run_unit",
     "shard_ranges",

@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cache import cached_artifact, study_fingerprint
+from repro.cache import cached_artifact
 from repro.devices.profile import DeviceProfile
 from repro.faults.schedule import get_fault
 from repro.lifecycle.firmware import apply_revisions, evolve
@@ -116,7 +116,16 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
     config, profiles = resolve_home_inputs(
         spec.config_name, spec.device_names, profiles=epoch_profiles(spec), fidelity=spec.fidelity
     )
-    fingerprint = study_fingerprint(
+    def compute() -> EpochSummary:
+        summary = _simulate_epoch(spec, config, profiles, schedule)
+        return dataclasses.replace(
+            summary, home_id=-1, epoch=-1, transitioned=False, firmware=()
+        )
+
+    summary = cached_artifact(
+        "lifecycle-epoch",
+        1,
+        compute,
         sim_seed=spec.sim_seed,
         config=config,
         profiles=profiles,
@@ -124,14 +133,6 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
         fault_schedule=schedule,
         extra=("exposure", spec.exposure),
     )
-
-    def compute() -> EpochSummary:
-        summary = _simulate_epoch(spec, config, profiles, schedule)
-        return dataclasses.replace(
-            summary, home_id=-1, epoch=-1, transitioned=False, firmware=()
-        )
-
-    summary = cached_artifact(fingerprint, "lifecycle-epoch", 1, compute)
     return dataclasses.replace(
         summary,
         home_id=spec.home_id,

@@ -311,10 +311,6 @@ class ICMPv6(Layer):
     def prefixes(self) -> list[PrefixInfoOption]:
         return [o for o in self.options if isinstance(o, PrefixInfoOption)]
 
-    @property
-    def is_ndp(self) -> bool:
-        return TYPE_ROUTER_SOLICIT <= self.icmp_type <= TYPE_NEIGHBOR_ADVERT + 1
-
     # -- codec ---------------------------------------------------------------
 
     def _message_body(self) -> bytes:

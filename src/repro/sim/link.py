@@ -78,12 +78,6 @@ class EthernetLink:
             self._promiscuous.remove(nic)
         self._flood.clear()
 
-    def rebind(self, nic: "Nic", old_mac: bytes) -> None:
-        """Update the switching table after a NIC's MAC changes."""
-        self._by_mac.pop(old_mac, None)
-        self._by_mac[nic.mac.packed] = nic
-        self._flood.clear()
-
     def add_tap(self, tap: Tap) -> None:
         """Register a capture callback invoked for every transmitted frame."""
         self._taps.append(tap)

@@ -8,14 +8,18 @@ baseline arm common to every schedule) end to end through both the
 retained fleet path and the CLI.
 """
 
+import sys
+
 import pytest
 
 from repro.cache import (
     CacheSettings,
+    activated,
     process_counters,
     read_disk_stats,
     reset_process_caches,
 )
+from repro.cache import fingerprint
 from repro.faults.population import aggregate_faults, generate_fault_specs, run_fault_fleet
 from repro.reports import render_faults
 
@@ -101,3 +105,32 @@ def test_cli_cache_flag_end_to_end(tmp_path, capsys):
     assert warm.out == cold.out  # byte-identical stdout
     assert "0 miss(es)" in warm.err
     assert "2 hit(s) (2 from disk)" in warm.err
+
+
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """Count study_fingerprint calls wherever a repro module holds the name."""
+    calls = []
+    original = fingerprint.study_fingerprint
+
+    def counting(**closure):
+        calls.append(closure)
+        return original(**closure)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "study_fingerprint", None) is original:
+            monkeypatch.setattr(module, "study_fingerprint", counting)
+    return calls
+
+
+def test_uncached_worker_never_fingerprints(fingerprint_calls):
+    from repro.fleet import HomeSpec, simulate_home
+
+    spec = HomeSpec(home_id=3, sim_seed=5, config_name="dual-stack", device_names=("Echo Dot 3rd gen",), fidelity="flow")
+    assert simulate_home(spec).home_id == 3
+    assert fingerprint_calls == []
+
+    with activated(CacheSettings(scope="fp")):
+        simulate_home(spec)
+    assert len(fingerprint_calls) == 1  # the hook does reach the worker's lookup
+

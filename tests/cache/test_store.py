@@ -25,6 +25,9 @@ from repro.cache import (
 )
 from repro.cache.store import MANIFEST_NAME
 
+# A minimal study_fingerprint closure for cached_artifact lookups.
+CLOSURE = dict(sim_seed=1, config="dual-stack", profiles=())
+
 
 @pytest.fixture(autouse=True)
 def fresh_process_caches():
@@ -157,8 +160,8 @@ def test_read_disk_stats_on_a_missing_store_is_all_zero(tmp_path):
 def test_cached_artifact_is_a_direct_call_without_a_cache():
     compute, calls = counting()
     assert active_cache() is None
-    assert cached_artifact("a" * 64, "x", 1, compute) == "artifact"
-    assert cached_artifact("a" * 64, "x", 1, compute) == "artifact"
+    assert cached_artifact("x", 1, compute, **CLOSURE) == "artifact"
+    assert cached_artifact("x", 1, compute, **CLOSURE) == "artifact"
     assert calls == [1, 1]  # no memoization, no error
 
 
@@ -183,7 +186,7 @@ def test_caching_worker_is_picklable_and_dedups():
     compute, calls = counting()
 
     def worker(spec):
-        return cached_artifact("a" * 64, "x", 1, compute)
+        return cached_artifact("x", 1, compute, **CLOSURE)
 
     wrapped = CachingWorker(CountingWorker(), CacheSettings(scope="w"))
     clone = pickle.loads(pickle.dumps(wrapped))
@@ -205,10 +208,10 @@ class CountingWorker:
 
 def test_process_counters_sum_across_scopes():
     with activated(CacheSettings(scope="p1")):
-        cached_artifact("a" * 64, "x", 1, lambda: 1)
-        cached_artifact("a" * 64, "x", 1, lambda: 1)
+        cached_artifact("x", 1, lambda: 1, **CLOSURE)
+        cached_artifact("x", 1, lambda: 1, **CLOSURE)
     with activated(CacheSettings(scope="p2")):
-        cached_artifact("a" * 64, "x", 1, lambda: 1)
+        cached_artifact("x", 1, lambda: 1, **CLOSURE)
     snapshot = process_counters()
     assert snapshot["study_cache_misses"] == 2
     assert snapshot["studies_deduped"] == 1

@@ -75,23 +75,6 @@ def test_homes_zero_exits_nonzero(command, capsys):
     assert captured.out == ""
 
 
-def test_fleet_worker_failure_exits_nonzero(capsys, monkeypatch):
-    import repro.fleet.runner as runner
-
-    def exploding_study(*args, **kwargs):
-        raise RuntimeError("boom in worker")
-
-    # simulate_home is baked in as run_fleet's default worker at def time,
-    # so fail the study call it makes instead.
-    monkeypatch.setattr(runner, "run_home_study", exploding_study)
-    assert main(["fleet", "--homes", "2", "--jobs", "1", "--seed", "7"]) == 1
-    captured = capsys.readouterr()
-    assert "home run(s) failed" in captured.err
-    assert "boom in worker" in captured.err
-    # the (empty) summary still rendered before the failure exit
-    assert "Fleet summary" in captured.out
-
-
 # ---- argument validation: negative seeds and duplicate names exit 2
 
 
@@ -129,20 +112,6 @@ def test_adversary_command(capsys):
 def test_adversary_unknown_scenario(capsys):
     assert main(["adversary", "--homes", "1", "--scenario", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
-
-
-def test_faults_worker_failure_exits_nonzero(capsys, monkeypatch):
-    import repro.faults.population as population
-
-    def exploding_worker(spec):
-        raise RuntimeError("fault worker crashed")
-
-    monkeypatch.setattr(population, "run_home_faults", exploding_worker)
-    assert main(["faults", "--homes", "1", "--jobs", "1",
-                 "--configs", "dual-stack", "--faults", "none"]) == 1
-    captured = capsys.readouterr()
-    assert "home run(s) failed" in captured.err
-    assert "fault worker crashed" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -190,19 +159,6 @@ def test_lifecycle_no_homes(capsys):
 def test_lifecycle_rejects_negative_seed():
     with pytest.raises(SystemExit):
         main(["lifecycle", "--homes", "1", "--seed", "-1"])
-
-
-def test_lifecycle_worker_failure_exits_nonzero(capsys, monkeypatch):
-    import repro.lifecycle.population as population
-
-    def exploding_worker(spec):
-        raise RuntimeError("epoch worker crashed")
-
-    monkeypatch.setattr(population, "run_home_epoch", exploding_worker)
-    assert main(["lifecycle", "--homes", "1", "--epochs", "1", "--jobs", "1"]) == 1
-    captured = capsys.readouterr()
-    assert "home run(s) failed" in captured.err
-    assert "epoch worker crashed" in captured.err
 
 
 FIDELITY_COMMANDS = ("study", "tables", "pcap", "fleet", "exposure", "faults", "lifecycle", "adversary")
@@ -264,15 +220,48 @@ def test_shards_zero_homes_exits_nonzero(command, capsys):
     assert "nothing to run" in capsys.readouterr().err
 
 
-def test_faults_stream_worker_failure_exits_nonzero(capsys, monkeypatch):
-    import repro.faults.population as population
+# ---- worker failures: both engines exit 1 with the same report and block
 
-    def exploding_worker(spec):
-        raise RuntimeError("stream worker crashed")
+# subcommand -> (module whose worker lookup is broken, attribute, argv, report title)
+WORKER_FAILURES = {
+    # simulate_home is baked in as run_fleet's default worker at def time,
+    # so fail the study call it makes instead.
+    "fleet": ("repro.fleet.runner", "run_home_study", ["--homes", "2", "--seed", "7"], "Fleet summary"),
+    "exposure": ("repro.exposure.population", "run_home_exposure", ["--homes", "1", "--firewall", "open"],
+                 "WAN exposure"),
+    "faults": ("repro.faults.population", "run_home_faults",
+               ["--homes", "1", "--configs", "dual-stack", "--faults", "none"], "Fault degradation"),
+    "lifecycle": ("repro.lifecycle.population", "run_home_epoch", ["--homes", "1", "--epochs", "1"], "Lifecycle"),
+    "adversary": ("repro.adversary.population", "run_home_susceptibility", ["--homes", "1", "--firewall", "open"],
+                  "Worm outbreak"),
+}
+ENGINES = (["--jobs", "1"], ["--shards", "1"])
 
-    monkeypatch.setattr(population, "run_home_faults", exploding_worker)
-    assert main(["faults", "--homes", "1", "--shards", "1",
-                 "--configs", "ipv6-only", "--faults", "dns-blackout"]) == 1
-    captured = capsys.readouterr()
-    assert "home run(s) failed" in captured.err
-    assert "stream worker crashed" in captured.err
+
+@pytest.mark.parametrize("engine", ENGINES, ids=lambda argv: argv[0].lstrip("-"))
+@pytest.mark.parametrize("command", sorted(WORKER_FAILURES))
+def test_worker_failure_exits_1_with_the_same_report_on_both_engines(command, engine, capsys, monkeypatch):
+    import importlib
+
+    module, attr, argv, title = WORKER_FAILURES[command]
+
+    def exploding_worker(*args, **kwargs):
+        raise RuntimeError(f"{command} worker crashed")
+
+    monkeypatch.setattr(importlib.import_module(module), attr, exploding_worker)
+    # The case's engine runs first, the other one second: neither order may
+    # change a byte of the report or of the failure block.
+    runs = []
+    for flags in (engine, *(other for other in ENGINES if other != engine)):
+        assert main([command, *argv, *flags]) == 1
+        captured = capsys.readouterr()
+        block = captured.err[captured.err.index("error: "):]
+        runs.append((captured.out, block))
+
+    (out, block), (other_out, other_block) = runs
+    assert out == other_out
+    assert block == other_block
+    assert out.startswith(title)  # the report still rendered before the failure exit
+    header, *lines = block.splitlines()
+    assert header == f"error: {len(lines)}/{len(lines)} home run(s) failed:"
+    assert lines and all(line.endswith(f"RuntimeError: {command} worker crashed") for line in lines)
